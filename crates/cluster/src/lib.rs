@@ -12,15 +12,12 @@
 //!   measurements → manager → caps → progress.
 //! * [`controlplane`] — the latency/traffic model of the server↔client
 //!   messaging (3 bytes per unit per cycle, BSD-socket latencies; §6.5).
-//! * [`protocol`] — the 3-byte wire frames (re-exported from `dps-ctrl`,
-//!   which also provides the full framed control plane with lossy links,
-//!   node agents and a budget-safe controller). The simulator selects
-//!   between the direct, quantized and framed planes via
-//!   [`sim::ControlPlaneMode`].
+//!   The 3-byte wire frames live in [`dps_ctrl::frame`], beside the full
+//!   framed control plane (lossy links, node agents, a budget-safe
+//!   controller); the simulator selects between the direct, quantized and
+//!   framed planes via [`sim::ControlPlaneMode`].
 //! * [`satisfaction`] — per-cluster satisfaction (Eq. 1) and pairwise
 //!   fairness (Eq. 2) accounting.
-//! * [`logging`] — optional per-cycle logs (power, cap, priority per unit),
-//!   the records the paper's artifact emits.
 //! * [`runner`] — the experiment harness: builds a workload pair, runs it
 //!   under a chosen manager until both sides finish their repetitions, and
 //!   reports throughput times, satisfaction, and fairness.
@@ -39,8 +36,6 @@
 pub mod chaos;
 pub mod controlplane;
 pub mod invariant;
-pub mod logging;
-pub mod protocol;
 pub mod runner;
 pub mod satisfaction;
 pub mod shocks;
@@ -49,7 +44,6 @@ pub mod sim;
 pub use chaos::{ChaosSchedule, ChaosWindow};
 pub use controlplane::ControlPlaneModel;
 pub use invariant::{InvariantConfig, InvariantInputs, InvariantMonitor};
-pub use logging::{CycleLog, CycleRecord};
 pub use runner::{run_pair, ExperimentConfig, PairOutcome, WorkloadOutcome};
 pub use satisfaction::{FairnessTracker, SatisfactionTracker};
 pub use shocks::{BudgetSchedule, BudgetSegment};

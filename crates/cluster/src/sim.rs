@@ -13,21 +13,23 @@
 //!    window, as in a real deployment);
 //! 6. each cluster's job advances at the pace of its slowest socket
 //!    (barrier-synchronised data-parallel execution);
-//! 7. satisfaction trackers and the optional cycle log record the window.
+//! 7. satisfaction trackers record the window; callers read the cycle's
+//!    demands, measurements, caps and scheduler events through the
+//!    accessors, and the `dps-obs` sink (if attached) traces it.
 
 use crate::chaos::ChaosSchedule;
 use crate::invariant::{InvariantConfig, InvariantInputs, InvariantMonitor};
-use crate::logging::{CycleLog, CycleRecord};
 use crate::satisfaction::SatisfactionTracker;
 use crate::shocks::BudgetSchedule;
 use dps_core::guard::HealthState;
 use dps_core::manager::PowerManager;
 use dps_core::{ConfidenceReport, ModeConfig, ModeMachine, OperatingMode};
+use dps_ctrl::frame::Frame;
 use dps_ctrl::{CtrlStats, FramedConfig, FramedControlPlane};
 use dps_idle::{Demotion, IdleConfig, IdleFleet, WakeFinished};
 use dps_obs::{Event, FaultDomain, PhaseKind, ProvisionKind, SinkHandle};
 use dps_rapl::{DomainBank, DomainSpec, NoiseModel, PowerInterface, Topology, UnitFaultSchedule};
-use dps_sched::{JobRecord, JobScheduler, SchedConfig};
+use dps_sched::{JobRecord, JobScheduler, SchedConfig, SchedEvent};
 use dps_sim_core::rng::RngStream;
 use dps_sim_core::units::{Seconds, SimClock, Watts};
 use dps_traffic::{RequestStats, TrafficConfig, TrafficDriver};
@@ -43,7 +45,7 @@ pub enum ControlPlaneMode {
     #[default]
     Direct,
     /// Values round-trip through the 3-byte wire frames
-    /// ([`crate::protocol`]) and quantize to 0.1 W exactly as they would
+    /// ([`dps_ctrl::frame`]) and quantize to 0.1 W exactly as they would
     /// over the testbed's sockets, but transport is still instantaneous
     /// and lossless.
     Quantized,
@@ -339,7 +341,6 @@ pub struct ClusterSim {
     clock: SimClock,
     caps: Vec<Watts>,
     satisfaction: Vec<SatisfactionTracker>,
-    log: CycleLog,
     /// The framed control plane; present iff the mode is
     /// [`ControlPlaneMode::Framed`].
     plane: Option<FramedControlPlane>,
@@ -348,6 +349,9 @@ pub struct ClusterSim {
     measured: Vec<Watts>,
     true_power: Vec<Watts>,
     applied: Vec<Watts>,
+    /// Scheduler events drained during the last cycle (swapped with the
+    /// scheduler's buffer, so both keep their capacity).
+    sched_events: Vec<SchedEvent>,
     /// Checkpoint the manager every N cycles (watchdog); `None` disables.
     watchdog_every: Option<u64>,
     /// Latest watchdog snapshot, if the manager supports checkpointing.
@@ -486,11 +490,11 @@ impl ClusterSim {
             satisfaction: (0..config.topology.clusters)
                 .map(|_| SatisfactionTracker::new())
                 .collect(),
-            log: CycleLog::disabled(),
             demands: vec![0.0; n],
             measured: vec![0.0; n],
             true_power: vec![0.0; n],
             applied: vec![0.0; n],
+            sched_events: Vec::new(),
             watchdog_every: None,
             last_checkpoint: None,
             sched: None,
@@ -727,11 +731,6 @@ impl ClusterSim {
         sim
     }
 
-    /// Enables per-cycle logging (records every window from now on).
-    pub fn enable_logging(&mut self) {
-        self.log = CycleLog::enabled();
-    }
-
     /// Attaches a structured trace sink (`dps-obs`) to the simulator and
     /// its manager. The simulator emits the cycle envelope (cycle
     /// start/end, fault edges, control-plane deltas, scheduler lifecycle
@@ -762,11 +761,6 @@ impl ClusterSim {
         &self.sink
     }
 
-    /// The log collected so far.
-    pub fn log(&self) -> &CycleLog {
-        &self.log
-    }
-
     /// The sim config.
     pub fn config(&self) -> &SimConfig {
         &self.config
@@ -775,6 +769,23 @@ impl ClusterSim {
     /// Current caps (as last assigned by the manager).
     pub fn caps(&self) -> &[Watts] {
         &self.caps
+    }
+
+    /// Per-unit true (uncapped) demand of the last cycle's window.
+    pub fn demands(&self) -> &[Watts] {
+        &self.demands
+    }
+
+    /// Per-unit power as the manager measured it in the last cycle (NaN for
+    /// a unit whose sensor dropped out).
+    pub fn measured(&self) -> &[Watts] {
+        &self.measured
+    }
+
+    /// Scheduler lifecycle events that fired during the last cycle, in
+    /// firing order (empty outside scheduler mode).
+    pub fn sched_events(&self) -> &[SchedEvent] {
+        &self.sched_events
     }
 
     /// Completed run count for a cluster's workload.
@@ -1377,8 +1388,8 @@ impl ClusterSim {
             for u in 0..self.measured.len() {
                 let reading = self.bank.read_power(u);
                 self.measured[u] = if quantized {
-                    let frame = crate::protocol::Frame::power_report(reading);
-                    crate::protocol::Frame::decode(frame.encode())
+                    let frame = Frame::power_report(reading);
+                    Frame::decode(frame.encode())
                         .expect("own frame decodes")
                         .watts()
                 } else {
@@ -1390,8 +1401,8 @@ impl ClusterSim {
                 .assign_caps(&self.measured, &mut self.caps, period);
             for (u, &cap) in self.caps.iter().enumerate() {
                 let cap = if quantized {
-                    let frame = crate::protocol::Frame::set_cap(cap);
-                    crate::protocol::Frame::decode(frame.encode())
+                    let frame = Frame::set_cap(cap);
+                    Frame::decode(frame.encode())
                         .expect("own frame decodes")
                         .watts()
                 } else {
@@ -1593,31 +1604,19 @@ impl ClusterSim {
             }
         }
 
-        // Scheduler events are drained every cycle even when logging is
-        // off, so an unlogged run cannot accumulate them unboundedly.
-        let (queue_depth, events) = match sched.as_mut() {
-            Some(st) => (st.scheduler.queue_depth(), st.scheduler.take_events()),
-            None => (0, Vec::new()),
+        // Scheduler events are drained every cycle into the reused buffer
+        // behind `sched_events()`, so a long run never accumulates them.
+        let queue_depth = match sched.as_mut() {
+            Some(st) => {
+                st.scheduler.drain_events_into(&mut self.sched_events);
+                st.scheduler.queue_depth()
+            }
+            None => 0,
         };
         if tracing {
-            for ev in &events {
+            for ev in &self.sched_events {
                 self.sink.emit(ev.to_trace(cycle));
             }
-        }
-        if self.log.is_enabled() {
-            self.log.push(CycleRecord {
-                time: self.clock.now(),
-                power: self.measured.clone(),
-                caps: self.caps.clone(),
-                demand: self.demands.clone(),
-                priority: self
-                    .manager
-                    .priorities()
-                    .map(|p| p.to_vec())
-                    .unwrap_or_default(),
-                queue_depth,
-                events,
-            });
         }
 
         // (9) Watchdog: periodically snapshot the manager so a crashed
@@ -1841,18 +1840,21 @@ mod tests {
     }
 
     #[test]
-    fn logging_captures_cycles() {
+    fn accessors_expose_each_cycle() {
         let cfg = small_config();
         let mgr = constant_mgr(&cfg);
         let rng = RngStream::new(6, "sim-test");
         let mut sim = ClusterSim::new(cfg, vec![flat(20.0, 120.0), flat(20.0, 50.0)], mgr, &rng);
-        sim.enable_logging();
+        let half = sim.config().topology.units_per_cluster();
         for _ in 0..10 {
             sim.cycle();
+            assert_eq!(sim.measured().len(), 4);
+            assert_eq!(sim.demands().len(), 4);
+            assert_eq!(sim.caps().len(), 4);
+            let demands = sim.demands();
+            assert!(demands[..half].iter().all(|&d| d > 100.0), "{demands:?}");
+            assert!(demands[half..].iter().all(|&d| d < 100.0), "{demands:?}");
         }
-        assert_eq!(sim.log().records().len(), 10);
-        let demand0 = sim.log().demand_series(0);
-        assert!(demand0.iter().all(|&d| d > 100.0), "{demand0:?}");
     }
 
     #[test]
@@ -1978,11 +1980,11 @@ mod tests {
         let mgr = constant_mgr(&cfg);
         let rng = RngStream::new(31, "fault-wire");
         let mut sim = ClusterSim::new(cfg, vec![flat(50.0, 100.0), flat(50.0, 100.0)], mgr, &rng);
-        sim.enable_logging();
+        let mut series = Vec::new();
         for _ in 0..20 {
             sim.cycle();
+            series.push(sim.measured()[0]);
         }
-        let series = sim.log().power_series(0);
         // Readings inside [5, 15) are NaN, outside they are finite.
         assert!(series[2].is_finite(), "{series:?}");
         assert!(series[8].is_nan(), "{series:?}");
@@ -2232,6 +2234,56 @@ mod tests {
             reg.membership_flips() > 0,
             "job churn must reach the manager's membership trace"
         );
+    }
+
+    #[test]
+    fn scheduler_events_match_job_records() {
+        use dps_sched::{JobOutcome, SchedEventKind};
+        let mut cfg = SimConfig {
+            topology: Topology::new(2, 4, 2),
+            noise: NoiseModel::None,
+            ..SimConfig::paper_default()
+        };
+        cfg.scheduler = Some(SchedConfig::default_poisson(6, 100.0));
+        let rng = RngStream::new(44, "sched-events");
+        let mut sim = ClusterSim::with_scheduler(cfg.clone(), guarded_dps(&cfg, &rng), &rng);
+        let mut events = Vec::new();
+        for _ in 0..4000 {
+            sim.cycle();
+            events.extend_from_slice(sim.sched_events());
+            if sim.scheduler_drained() {
+                break;
+            }
+        }
+        assert!(sim.scheduler_drained(), "queue failed to drain");
+        let completed: Vec<_> = sim
+            .job_records()
+            .iter()
+            .filter(|r| r.outcome == JobOutcome::Completed)
+            .collect();
+        assert!(!completed.is_empty(), "no job completed");
+        let times = |id: usize, kind: SchedEventKind| -> Vec<f64> {
+            events
+                .iter()
+                .filter(|e| e.job == id && e.kind == kind)
+                .map(|e| e.time)
+                .collect()
+        };
+        for r in completed {
+            // A job is admitted at the first cycle boundary at or after its
+            // submission time, and the arrival event carries that tick.
+            let arrived = times(r.id, SchedEventKind::Arrived);
+            assert_eq!(arrived.len(), 1, "job {} arrived {arrived:?}", r.id);
+            assert!(
+                arrived[0] >= r.arrival && arrived[0] < r.arrival + cfg.period,
+                "job {} arrived at {} for submission {}",
+                r.id,
+                arrived[0],
+                r.arrival
+            );
+            assert_eq!(times(r.id, SchedEventKind::Started), vec![r.start]);
+            assert_eq!(times(r.id, SchedEventKind::Finished), vec![r.end]);
+        }
     }
 
     // ---- traffic mode (dps-traffic) wiring ----

@@ -86,6 +86,16 @@ impl ManagerKind {
         ManagerKind::Dps,
         ManagerKind::Oracle,
     ];
+
+    /// Parses a manager name, case-insensitively: the inverse of
+    /// `Display`, covering every kind ([`ManagerKind::ALL`] plus
+    /// `Sharded`). `None` for an unknown name.
+    pub fn from_name(name: &str) -> Option<ManagerKind> {
+        Self::ALL
+            .into_iter()
+            .chain([ManagerKind::Sharded])
+            .find(|k| k.to_string().eq_ignore_ascii_case(name))
+    }
 }
 
 impl std::fmt::Display for ManagerKind {
@@ -267,6 +277,30 @@ pub fn constant_cap(total_budget: Watts, num_units: usize, limits: UnitLimits) -
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn from_name_inverts_display() {
+        let kinds = [
+            ManagerKind::Constant,
+            ManagerKind::Slurm,
+            ManagerKind::Dps,
+            ManagerKind::Oracle,
+            ManagerKind::Feedback,
+            ManagerKind::Predictive,
+            ManagerKind::TwoLevel,
+            ManagerKind::Qdpm,
+            ManagerKind::Sharded,
+        ];
+        for kind in kinds {
+            assert_eq!(ManagerKind::from_name(&kind.to_string()), Some(kind));
+        }
+        assert_eq!(
+            ManagerKind::from_name("tWoLeVeL"),
+            Some(ManagerKind::TwoLevel)
+        );
+        assert_eq!(ManagerKind::from_name("qdpm"), Some(ManagerKind::Qdpm));
+        assert_eq!(ManagerKind::from_name("nonsense"), None);
+    }
 
     #[test]
     fn limits_clamp() {

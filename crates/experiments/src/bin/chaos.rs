@@ -143,7 +143,6 @@ fn run(kind: ManagerKind, intensity: u32, config: &ExperimentConfig, cycles: u64
         manager,
         &RngStream::new(config.seed, "chaos-experiment"),
     );
-    sim.enable_logging();
 
     // Wire-quantization slack on the requested-caps sum (one deciwatt per
     // unit, matching the invariant monitor's framed-plane tolerance).
@@ -151,8 +150,17 @@ fn run(kind: ManagerKind, intensity: u32, config: &ExperimentConfig, cycles: u64
     let mut worst = f64::NEG_INFINITY;
     let mut off_normal = 0;
     let mut safe = 0;
+    // Per-unit running sum of the measured power; dropout cycles report
+    // NaN for the dark units, so only finite samples count (a small
+    // undercount during the incident window, identical across managers).
+    let mut measured_sum = vec![0.0; sim.caps().len()];
     for _ in 0..cycles {
         sim.cycle();
+        for (sum, &p) in measured_sum.iter_mut().zip(sim.measured()) {
+            if p.is_finite() {
+                *sum += p;
+            }
+        }
         // The hard contract is on the caps the manager *requested* against
         // the budget in force this cycle — a brownout the caps ignore would
         // hide behind the base budget. Applied caps may transiently exceed
@@ -176,20 +184,7 @@ fn run(kind: ManagerKind, intensity: u32, config: &ExperimentConfig, cycles: u64
         }
     }
 
-    // Energy from the measured-power log; dropout cycles report NaN for the
-    // dark units, so count only finite samples (a small undercount during
-    // the incident window, identical across managers).
-    let n = sim.caps().len();
-    let joules: f64 = (0..n)
-        .map(|u| {
-            sim.log()
-                .power_series(u)
-                .iter()
-                .filter(|p| p.is_finite())
-                .sum::<f64>()
-                * period
-        })
-        .sum();
+    let joules: f64 = measured_sum.iter().map(|s| s * period).sum();
     ChaosOutcome {
         satisfaction_hot: sim.satisfaction(0),
         satisfaction_cool: sim.satisfaction(1),

@@ -8,7 +8,7 @@
 //! exp Kmeans Sort slurm 10 1234
 //! ```
 //!
-//! `manager` ∈ {constant, slurm, dps, oracle} (default dps). Prints the
+//! `manager` is any manager name, case-insensitive (default dps). Prints the
 //! per-run throughput times, harmonic means, speedups over a constant
 //! baseline run, satisfaction and fairness.
 
@@ -20,7 +20,7 @@ use dps_workloads::catalog;
 fn usage() -> ! {
     eprintln!(
         "usage: exp <workload_a> <workload_b> \
-         [constant|slurm|dps|oracle|feedback|predictive|twolevel] [reps] [seed]"
+         [constant|slurm|dps|oracle|feedback|predictive|twolevel|qdpm|sharded] [reps] [seed]"
     );
     eprintln!("workloads: {}", all_names().join(", "));
     std::process::exit(2);
@@ -47,19 +47,11 @@ fn main() {
         eprintln!("unknown workload {:?}", args[2]);
         usage()
     });
-    let kind = match args.get(3).map(|s| s.to_ascii_lowercase()).as_deref() {
-        None | Some("dps") => ManagerKind::Dps,
-        Some("constant") => ManagerKind::Constant,
-        Some("slurm") => ManagerKind::Slurm,
-        Some("oracle") => ManagerKind::Oracle,
-        Some("feedback") => ManagerKind::Feedback,
-        Some("predictive") => ManagerKind::Predictive,
-        Some("twolevel") => ManagerKind::TwoLevel,
-        Some(other) => {
-            eprintln!("unknown manager {other:?}");
-            usage()
-        }
-    };
+    let manager = args.get(3).map(String::as_str).unwrap_or("dps");
+    let kind = ManagerKind::from_name(manager).unwrap_or_else(|| {
+        eprintln!("unknown manager {manager:?}");
+        usage()
+    });
 
     let mut config = config_from_env();
     if let Some(reps) = args.get(4).and_then(|s| s.parse().ok()) {

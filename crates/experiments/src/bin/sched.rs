@@ -50,12 +50,26 @@ fn run(config: &ExperimentConfig, kind: ManagerKind) -> SchedOutcome {
     // and per-job workload realisations.
     let rng = RngStream::new(config.seed, "sched-experiment");
     let mut sim = ClusterSim::with_scheduler(config.sim.clone(), config.build_manager(kind), &rng);
-    sim.enable_logging();
 
+    // Artifact-style scheduler activity: `time,job,nodes,event` rows and
+    // one queue-depth sample per cycle, stamped with the cycle's start.
+    let mut event_rows: Vec<Vec<String>> = Vec::new();
+    let mut times = Vec::new();
+    let mut depths = Vec::new();
     let mut worst_margin = f64::NEG_INFINITY;
     let max_cycles = 2_000_000u64;
     for _ in 0..max_cycles {
+        times.push(sim.now());
         sim.cycle();
+        depths.push(sim.scheduler().expect("scheduler mode").queue_depth() as f64);
+        event_rows.extend(sim.sched_events().iter().map(|e| {
+            vec![
+                format!("{}", e.time),
+                e.job.to_string(),
+                e.nodes.to_string(),
+                e.kind.to_string(),
+            ]
+        }));
         // Budget invariant on occupied units, every cycle.
         let occupied = sim.occupied_units().expect("scheduler mode");
         let occupied_sum: f64 = sim
@@ -79,18 +93,8 @@ fn run(config: &ExperimentConfig, kind: ManagerKind) -> SchedOutcome {
     // Artifact-style CSV dump of the DPS run's scheduler activity.
     if kind == ManagerKind::Dps {
         std::fs::create_dir_all("results").expect("create results dir");
-        let events = csv::render(
-            &["time", "job", "nodes", "event"],
-            sim.log().sched_event_rows(),
-        );
+        let events = csv::render(&["time", "job", "nodes", "event"], event_rows);
         std::fs::write("results/sched_events.csv", events).expect("write events csv");
-        let times: Vec<f64> = sim.log().records().iter().map(|r| r.time).collect();
-        let depths: Vec<f64> = sim
-            .log()
-            .queue_depth_series()
-            .iter()
-            .map(|&d| d as f64)
-            .collect();
         std::fs::write("results/sched_queue_depth.csv", csv::trace(&times, &depths))
             .expect("write queue-depth csv");
         println!("wrote results/sched_events.csv and results/sched_queue_depth.csv (DPS run)\n");

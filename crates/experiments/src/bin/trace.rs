@@ -7,14 +7,26 @@
 //! ```
 //!
 //! Writes `<out_dir>/trace_<a>_<b>_<manager>.csv` with one row per
-//! (cycle, unit): `time,unit,cluster,demand,power,cap,priority`.
+//! (cycle, unit): `time,unit,cluster,demand,power,cap,priority`, where
+//! `time` is the cycle's start. `manager` is any manager name,
+//! case-insensitive (default dps); an unknown name is rejected.
 
 use dps_cluster::ClusterSim;
 use dps_core::manager::ManagerKind;
 use dps_experiments::config_from_env;
 use dps_sim_core::rng::RngStream;
 use dps_workloads::{build_program, catalog};
-use std::fmt::Write as _;
+use std::fs::File;
+use std::io::{BufWriter, Write};
+
+fn usage() -> ! {
+    eprintln!(
+        "usage: trace <workload_a> <workload_b> \
+         [constant|slurm|dps|oracle|feedback|predictive|twolevel|qdpm|sharded] \
+         [seconds] [out_dir]"
+    );
+    std::process::exit(2);
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -24,15 +36,10 @@ fn main() {
     let seconds: u64 = args.get(4).and_then(|s| s.parse().ok()).unwrap_or(600);
     let out_dir = args.get(5).map(String::as_str).unwrap_or("results");
 
-    let kind = match manager_name.to_ascii_lowercase().as_str() {
-        "constant" => ManagerKind::Constant,
-        "slurm" => ManagerKind::Slurm,
-        "oracle" => ManagerKind::Oracle,
-        "feedback" => ManagerKind::Feedback,
-        "predictive" => ManagerKind::Predictive,
-        "twolevel" => ManagerKind::TwoLevel,
-        _ => ManagerKind::Dps,
-    };
+    let kind = ManagerKind::from_name(manager_name).unwrap_or_else(|| {
+        eprintln!("unknown manager {manager_name:?}");
+        usage()
+    });
 
     let config = config_from_env();
     let spec_a = catalog::find(name_a).expect("workload a");
@@ -47,27 +54,6 @@ fn main() {
         config.build_manager(kind),
         &pair_rng.child("sim"),
     );
-    sim.enable_logging();
-    for _ in 0..seconds {
-        sim.cycle();
-    }
-
-    let topo = sim.config().topology;
-    let mut csv = String::from("time,unit,cluster,demand,power,cap,priority\n");
-    for rec in sim.log().records() {
-        for u in 0..topo.total_units() {
-            let prio = rec.priority.get(u).map(|p| *p as u8).unwrap_or(0);
-            let _ = writeln!(
-                csv,
-                "{},{u},{},{:.2},{:.2},{:.2},{prio}",
-                rec.time,
-                topo.cluster_of(u),
-                rec.demand[u],
-                rec.power[u],
-                rec.caps[u],
-            );
-        }
-    }
 
     std::fs::create_dir_all(out_dir).expect("create output dir");
     let path = format!(
@@ -76,7 +62,29 @@ fn main() {
         name_b.to_ascii_lowercase(),
         kind.to_string().to_ascii_lowercase()
     );
-    std::fs::write(&path, csv).expect("write trace");
+    let mut out = BufWriter::new(File::create(&path).expect("create trace"));
+    writeln!(out, "time,unit,cluster,demand,power,cap,priority").expect("write trace");
+    let topo = sim.config().topology;
+    for _ in 0..seconds {
+        let time = sim.now();
+        sim.cycle();
+        for u in 0..topo.total_units() {
+            let prio = sim
+                .priorities()
+                .and_then(|p| p.get(u))
+                .map_or(0, |&p| p as u8);
+            writeln!(
+                out,
+                "{time},{u},{},{:.2},{:.2},{:.2},{prio}",
+                topo.cluster_of(u),
+                sim.demands()[u],
+                sim.measured()[u],
+                sim.caps()[u],
+            )
+            .expect("write trace");
+        }
+    }
+    out.flush().expect("write trace");
     println!(
         "wrote {path}: {seconds} cycles x {} units (fairness so far {:.3})",
         topo.total_units(),

@@ -352,9 +352,13 @@ impl JobScheduler {
         &self.records
     }
 
-    /// Drains the events accumulated since the last call.
-    pub fn take_events(&mut self) -> Vec<SchedEvent> {
-        std::mem::take(&mut self.events)
+    /// Moves the events accumulated since the last call into `out`,
+    /// replacing its contents. The two buffers are swapped, so a caller
+    /// that passes the same `out` every cycle allocates nothing in steady
+    /// state.
+    pub fn drain_events_into(&mut self, out: &mut Vec<SchedEvent>) {
+        out.clear();
+        std::mem::swap(out, &mut self.events);
     }
 
     /// `(job id, shadow time)` recorded the first time each queue head
@@ -506,7 +510,9 @@ mod tests {
             outcomes,
             vec![(1, JobOutcome::Evicted), (0, JobOutcome::Completed)]
         );
-        let kinds: Vec<SchedEventKind> = s.take_events().iter().map(|e| e.kind).collect();
+        let mut events = Vec::new();
+        s.drain_events_into(&mut events);
+        let kinds: Vec<SchedEventKind> = events.iter().map(|e| e.kind).collect();
         assert_eq!(
             kinds,
             vec![
@@ -518,7 +524,8 @@ mod tests {
                 SchedEventKind::Finished,
             ]
         );
-        assert!(s.take_events().is_empty(), "events drain");
+        s.drain_events_into(&mut events);
+        assert!(events.is_empty(), "events drain");
     }
 
     #[test]

@@ -28,11 +28,11 @@ fn main() {
         config.build_manager(ManagerKind::Constant),
         &RngStream::new(3, "record"),
     );
-    sim.enable_logging();
+    let mut demand_series = Vec::new();
     for _ in 0..400 {
         sim.cycle();
+        demand_series.push(sim.demands()[0]);
     }
-    let demand_series = sim.log().demand_series(0);
     let times: Vec<f64> = (0..demand_series.len()).map(|i| i as f64).collect();
     let csv_text = csv::trace(&times, &demand_series);
     println!(

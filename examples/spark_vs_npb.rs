@@ -22,7 +22,7 @@ fn main() {
     let gmm = catalog::find("GMM").unwrap();
     let ep = catalog::find("EP").unwrap();
 
-    // --- A short narrated run under DPS with logging on.
+    // --- A short narrated run under DPS.
     println!("== 6 simulated minutes under DPS (cluster-mean Watts) ==\n");
     let program_a = build_program(gmm, &config.sim.perf, 11);
     let program_b = build_program(ep, &config.sim.perf, 12);
@@ -32,7 +32,6 @@ fn main() {
         config.build_manager(ManagerKind::Dps),
         &RngStream::new(7, "example"),
     );
-    sim.enable_logging();
     println!(
         "{:>5}  {:>16}  {:>16}",
         "t(s)", "GMM demand/cap", "EP demand/cap"
@@ -40,15 +39,15 @@ fn main() {
     for t in 0..360 {
         sim.cycle();
         if t % 30 == 0 {
-            let rec = sim.log().records().last().unwrap();
+            let (demand, caps) = (sim.demands(), sim.caps());
             let half = sim.config().topology.units_per_cluster();
             let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
             println!(
                 "{t:>5}  {:>7.0} /{:>7.0}  {:>7.0} /{:>7.0}",
-                mean(&rec.demand[..half]),
-                mean(&rec.caps[..half]),
-                mean(&rec.demand[half..]),
-                mean(&rec.caps[half..]),
+                mean(&demand[..half]),
+                mean(&caps[..half]),
+                mean(&demand[half..]),
+                mean(&caps[half..]),
             );
         }
     }

@@ -62,7 +62,7 @@ fn programs() -> Vec<DemandProgram> {
     ]
 }
 
-/// The acceptance criterion: with per-cycle checkpoints, crash + restore at
+/// The acceptance bar: with per-cycle checkpoints, crash + restore at
 /// an arbitrary point reproduces the uninterrupted trajectory bit for bit.
 #[test]
 fn restored_controller_matches_uninterrupted_run() {

@@ -53,43 +53,39 @@ fn cycle_log_is_self_consistent() {
         cfg.build_manager(ManagerKind::Dps),
         &RngStream::new(33, "e2e"),
     );
-    sim.enable_logging();
-    for _ in 0..400 {
-        sim.cycle();
-    }
-    let records = sim.log().records();
-    assert_eq!(records.len(), 400);
     let n = cfg.sim.topology.total_units();
     let limits = cfg.limits();
-    for (i, rec) in records.iter().enumerate() {
-        assert_eq!(rec.power.len(), n);
-        assert_eq!(rec.caps.len(), n);
-        assert_eq!(rec.demand.len(), n);
-        assert_eq!(rec.priority.len(), n, "DPS must log priorities");
-        // Records are stamped with the cycle's start time (0-based).
-        assert!((rec.time - i as f64).abs() < 1e-9, "time axis");
+    let mut prev_caps = vec![110.0; n];
+    let (mut ever_high, mut ever_low) = (false, false);
+    for i in 0..400 {
+        // Each cycle starts at its 0-based index on the time axis.
+        assert!((sim.now() - i as f64).abs() < 1e-9, "time axis");
+        sim.cycle();
+        let (power, caps, demand) = (sim.measured(), sim.caps(), sim.demands());
+        let priority = sim.priorities().expect("DPS must expose priorities");
+        assert_eq!(power.len(), n);
+        assert_eq!(caps.len(), n);
+        assert_eq!(demand.len(), n);
+        assert_eq!(priority.len(), n, "DPS must expose priorities");
         for u in 0..n {
-            assert!(rec.caps[u] >= limits.min_cap - 1e-9 && rec.caps[u] <= limits.max_cap + 1e-9);
+            assert!(caps[u] >= limits.min_cap - 1e-9 && caps[u] <= limits.max_cap + 1e-9);
             // Measured power = true power + bounded noise; true power never
-            // exceeds the cap in force during the window (the cap recorded
-            // in the *previous* record), so allow the noise envelope only.
-            let prev_cap = if i == 0 {
-                110.0
-            } else {
-                records[i - 1].caps[u]
-            };
+            // exceeds the cap in force during the window (the cap set at
+            // the *previous* cycle), so allow the noise envelope only.
             assert!(
-                rec.power[u] <= prev_cap + 12.0,
-                "unit {u} cycle {i}: power {} vs window cap {prev_cap}",
-                rec.power[u]
+                power[u] <= prev_caps[u] + 12.0,
+                "unit {u} cycle {i}: power {} vs window cap {}",
+                power[u],
+                prev_caps[u]
             );
-            assert!(rec.power[u] >= 0.0);
-            assert!(rec.demand[u] >= 0.0 && rec.demand[u] <= 165.0 + 1e-9);
+            assert!(power[u] >= 0.0);
+            assert!(demand[u] >= 0.0 && demand[u] <= 165.0 + 1e-9);
         }
+        ever_high |= priority.iter().any(|&p| p);
+        ever_low |= priority.iter().any(|&p| !p);
+        prev_caps.copy_from_slice(caps);
     }
     // Priorities must actually vary over a run with phases.
-    let ever_high = (0..n).any(|u| records.iter().any(|r| r.priority[u]));
-    let ever_low = (0..n).any(|u| records.iter().any(|r| !r.priority[u]));
     assert!(ever_high && ever_low, "priorities should vary");
 }
 

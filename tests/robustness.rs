@@ -188,13 +188,10 @@ fn quantized_noise_model_supported_end_to_end() {
         cfg.build_manager(ManagerKind::Dps),
         &RngStream::new(17, "quantized"),
     );
-    sim.enable_logging();
     for _ in 0..100 {
         sim.cycle();
-    }
-    // Measurements snap to the 0.5 W grid.
-    for rec in sim.log().records() {
-        for &p in &rec.power {
+        // Measurements snap to the 0.5 W grid.
+        for &p in sim.measured() {
             let snapped = (p / 0.5).round() * 0.5;
             assert!((p - snapped).abs() < 1e-9, "unquantized measurement {p}");
         }

@@ -58,7 +58,7 @@ fn drain_checked(cfg: &ExperimentConfig, kind: ManagerKind) -> ClusterSim {
     );
 }
 
-/// The acceptance criterion: occupied caps within budget every cycle, for
+/// The acceptance bar: occupied caps within budget every cycle, for
 /// every manager, and the whole trace retires.
 #[test]
 fn occupied_caps_respect_budget_for_all_managers() {
